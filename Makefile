@@ -36,10 +36,11 @@ test:
 # must be byte-identical — its JSON carries only virtual-time results,
 # never wall time — and its in-process gate demands byte-identical
 # summaries across backends at every size. A seed-equivalence gate
-# additionally requires the regenerated BENCH_cluster.json and
-# BENCH_tenants.json to be byte-identical to the committed pre-refactor
-# outputs (git diff --exit-code), proving the heap rewrite changed
-# nothing but speed on legacy-sized configs. The network smoke routes a
+# additionally requires every regenerated wall-free bench JSON (cluster,
+# tenants, overload, integrity, partition, chaos) to be byte-identical to
+# its committed output (git diff --exit-code), and the cluster trace to
+# match its committed MD5 (TRACE_cluster.md5), so a refactor that should
+# change nothing proves it. The network smoke routes a
 # 3-replica round-robin cluster through the lossy virtual transport with a
 # mid-run partition of one replica — exactly-once dedup, timeout-driven
 # link-down failover and the forced heal probe all on the hot path, gated
@@ -62,6 +63,7 @@ check: build test
 	  --faults "seed=7,kernel=0.75,reset=0.1" --min-goodput 0.95 \
 	  --trace TRACE_cluster_rerun.json
 	cmp TRACE_cluster.json TRACE_cluster_rerun.json
+	md5sum -c TRACE_cluster.md5
 	dune exec bin/acrobatc.exe -- trace TRACE_cluster.json
 	dune exec bench/main.exe -- cluster --json BENCH_cluster.json
 	dune exec bin/acrobatc.exe -- serve --size tiny --iters 100 --requests 60 \
@@ -71,7 +73,6 @@ check: build test
 	dune exec bench/main.exe -- tenants --json BENCH_tenants.json
 	dune exec bench/main.exe -- tenants --json BENCH_tenants_rerun.json
 	cmp BENCH_tenants.json BENCH_tenants_rerun.json
-	git diff --exit-code -- BENCH_cluster.json BENCH_tenants.json
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 6000 --requests 400 --iters 100 \
 	  --faults "seed=7,kernel=0.1" --retry-budget 0.2 \
@@ -96,6 +97,8 @@ check: build test
 	dune exec bench/main.exe -- chaos --json BENCH_chaos.json
 	dune exec bench/main.exe -- chaos --json BENCH_chaos_rerun.json
 	cmp BENCH_chaos.json BENCH_chaos_rerun.json
+	git diff --exit-code -- BENCH_cluster.json BENCH_tenants.json BENCH_overload.json \
+	  BENCH_integrity.json BENCH_partition.json BENCH_chaos.json
 	dune exec bench/main.exe -- scale --json BENCH_scale.json
 	dune exec bench/main.exe -- scale --json BENCH_scale_rerun.json
 	cmp BENCH_scale.json BENCH_scale_rerun.json

@@ -758,7 +758,7 @@ let integrity_bench ?(audits = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]) ?(requests = 120)
     periodic virtual-clock snapshots, so `bench --json` tracks the full
     telemetry surface across commits. Deterministic for a fixed seed. *)
 let observability ?(requests = 150) ?(rate_per_s = 4000.0) ?(iters = 50) ?(seed = 1) () :
-    Serve.Json.t =
+    Obs.Json.t =
   let model = Models.tiny "treelstm" in
   let faults = Faults.parse "seed=7,kernel=0.05" in
   let metrics = Metrics.create () in
@@ -1120,7 +1120,7 @@ let scale_bench ?(sizes = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 29) ()
             sc_wall_s = wall;
             sc_equivalent = false;
           },
-          Serve.Json.to_string (Serve.Stats.summary_to_json s) ))
+          Obs.Json.to_string (Serve.Stats.summary_to_json s) ))
   in
   List.concat_map
     (fun requests ->

@@ -16,7 +16,7 @@
 
 open Acrobat
 module E = Experiments
-module J = Serve.Json
+module J = Obs.Json
 
 let pf = Printf.printf
 

@@ -36,6 +36,12 @@
     - {b quarantine_flow}: quarantine/restore trace instants agree with the
       summary counters, and a replica can only be restored after having
       been quarantined (restores never exceed quarantines);
+    - {b fenced_quiet}: on plain cluster runs, a replica fenced off by a
+      [failover] or [quarantine] instant runs no [batch] or [batch_fault]
+      until its next [probe_ready] / [quarantine_probe_ready] instant — its
+      requests were already handed back for re-dispatch (the multi-tenant
+      dispatcher is exempt: its quarantine drains the in-flight batch by
+      design);
     - {b net_exactly_once}: with the lossy transport's dedup window armed,
       no (request, replica, epoch) key executes twice no matter how many
       copies dup + resend put on the wire — the exactly-once guarantee,
@@ -281,6 +287,27 @@ let check (i : input) : violation list =
     add
       (v "quarantine_flow" "%d restores exceed %d quarantines"
          s.Stats.s_quarantine_restores s.Stats.s_quarantines);
+  (* Fenced quiet, read off the trace per replica pid: between a fencing
+     instant and the next probe window the replica must launch nothing. *)
+  if i.in_tenants = [] then begin
+    let fenced = Hashtbl.create 8 in
+    List.iter
+      (fun (ev : Trace.event) ->
+        match ev.Trace.ev_ph, ev.Trace.ev_name with
+        | 'i', ("failover" | "quarantine") ->
+          Hashtbl.replace fenced ev.Trace.ev_pid ev.Trace.ev_name
+        | 'i', ("probe_ready" | "quarantine_probe_ready") ->
+          Hashtbl.remove fenced ev.Trace.ev_pid
+        | 'X', ("batch" | "batch_fault") -> (
+          match Hashtbl.find_opt fenced ev.Trace.ev_pid with
+          | Some why ->
+            add
+              (v "fenced_quiet" "pid %d ran a %s at %.1fus after its %s" ev.Trace.ev_pid
+                 ev.Trace.ev_name ev.Trace.ev_ts_us why)
+          | None -> ())
+        | _ -> ())
+      i.in_events
+  end;
   (* Net conservation: every copy put on the wire lands in exactly one
      bucket, live deliveries split into fresh + dedup hits, and acks split
      into delivered + dropped + gray-eaten. With the transport off all

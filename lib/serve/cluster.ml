@@ -417,18 +417,18 @@ let net_deliver st ns (ent : 'a entry) (r : 'a Admission.request) i =
       st.stats.Stats.net_fresh <- st.stats.Stats.net_fresh + 1;
       if ns.n_plan.Net.np_dedup then Net.Dedup.note window key Dd_pending;
       match Replica.enqueue rep r with
-      | Replica.Admitted ->
+      | Server.Admitted ->
         net_trace st ~name:"net_exec" ~replica:i ~extra:[ "epoch", Json.Int ep ] id;
         if not ent.ent_deposited then begin
           ent.ent_deposited <- true;
           Replica.deposit_budget rep
         end
-      | Replica.Shed_queue ->
+      | Server.Shed_queue ->
         (* Never executed: forget the key so a later retransmission may
            execute, and nack the sender. *)
         if ns.n_plan.Net.np_dedup then Net.Dedup.remove window key;
         send_nack st ns ~replica:i ent ~terminal:`Shed
-      | Replica.Shed_limit ->
+      | Server.Shed_limit ->
         if ns.n_plan.Net.np_dedup then Net.Dedup.remove window key;
         send_nack st ns ~replica:i ent ~terminal:`Limit))
 
@@ -473,13 +473,13 @@ let rec dispatch st (r : 'a Admission.request) =
     (match st.net with
     | None -> (
       match Replica.enqueue st.replicas.(i) r with
-      | Replica.Admitted ->
+      | Server.Admitted ->
         if not ent.ent_deposited then begin
           ent.ent_deposited <- true;
           Replica.deposit_budget st.replicas.(i)
         end
-      | Replica.Shed_queue -> copy_lost st ent ~terminal:`Shed
-      | Replica.Shed_limit -> copy_lost st ent ~terminal:`Limit)
+      | Server.Shed_queue -> copy_lost st ent ~terminal:`Shed
+      | Server.Shed_limit -> copy_lost st ent ~terminal:`Limit)
     | Some ns -> net_dispatch st ns ent r i)
 
 (* Net-mode dispatch of the tracked (primary) copy to replica [i]:
@@ -664,11 +664,11 @@ let maybe_hedge st (ent : 'a entry) =
       (match st.net with
       | None -> (
         match Replica.enqueue st.replicas.(i) ent.ent_req with
-        | Replica.Admitted -> ()
+        | Server.Admitted -> ()
         (* The hedge target shed it; the primary copy is still live, so
            this never terminates the request. *)
-        | Replica.Shed_queue -> copy_lost st ent ~terminal:`Shed
-        | Replica.Shed_limit -> copy_lost st ent ~terminal:`Limit)
+        | Server.Shed_queue -> copy_lost st ent ~terminal:`Shed
+        | Server.Shed_limit -> copy_lost st ent ~terminal:`Limit)
       | Some ns ->
         (* Hedge copies ride the link untracked: the primary's timeout is
            their recovery path, and the receiver's idempotency window
@@ -721,58 +721,15 @@ let net_on_completed st ns ~replica (batch : 'a Admission.request list) ~size ~s
         ~di_done_us:done_us)
     batch
 
-let on_cancelled st ~replica:_ (r : 'a Admission.request) =
-  copy_cancelled st (entry st r.Admission.rq_id)
+(* A replica dropped this copy unexecuted or unresolved: past deadline,
+   refused by its retry budget, or isolated as poison. *)
+let copy_dropped st ~terminal (r : 'a Admission.request) =
+  copy_lost st (entry st r.Admission.rq_id) ~terminal
 
-let on_expired st ~replica:_ (rs : 'a Admission.request list) =
-  List.iter
-    (fun (r : 'a Admission.request) ->
-      let ent = entry st r.Admission.rq_id in
-      if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
-      else copy_lost st ent ~terminal:`Expired)
-    rs
-
-let on_retry_shed st ~replica:_ (rs : 'a Admission.request list) =
-  List.iter
-    (fun (r : 'a Admission.request) ->
-      let ent = entry st r.Admission.rq_id in
-      if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
-      else copy_lost st ent ~terminal:`Retry_budget)
-    rs
-
-let on_poisoned st ~replica:_ (r : 'a Admission.request) =
-  let ent = entry st r.Admission.rq_id in
-  if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
-  else copy_lost st ent ~terminal:`Poisoned
-
-let on_down st ~replica (requeue : 'a Admission.request list) =
-  ignore replica;
-  st.stats.Stats.failovers <- st.stats.Stats.failovers + 1;
-  List.iter
-    (fun (r : 'a Admission.request) ->
-      let ent = entry st r.Admission.rq_id in
-      if ent.ent_done then copy_cancelled st ent
-      else begin
-        ent.ent_requeues <- ent.ent_requeues + 1;
-        if ent.ent_requeues > st.cfg.c_requeue_budget then
-          copy_lost st ent ~terminal:`Budget
-        else begin
-          st.stats.Stats.requeued <- st.stats.Stats.requeued + 1;
-          Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
-            ~tid:(Server.req_tid r.Admission.rq_id)
-            ~ts_us:(Event_loop.now st.loop)
-            ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int replica ];
-          (* The down replica is no longer Up, so [dispatch] naturally
-             routes elsewhere (or parks the request when nowhere is). *)
-          dispatch st r
-        end
-      end)
-    requeue
-
-(* Quarantine drain: the same requeue discipline as failover (budgeted
-   re-dispatch, parked when nowhere is healthy), but the transition itself
-   is counted by the replica's integrity scoreboard, not as a failover. *)
-let on_quarantined st ~replica (requeue : 'a Admission.request list) =
+(* Failover or quarantine drain: budgeted re-dispatch of every unresolved
+   request, parked when nowhere is healthy. The down replica is no longer
+   Up, so [dispatch] naturally routes elsewhere. *)
+let requeue_from st ~replica (requeue : 'a Admission.request list) =
   List.iter
     (fun (r : 'a Admission.request) ->
       let ent = entry st r.Admission.rq_id in
@@ -918,12 +875,19 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
         match st.net with
         | None -> on_completed st ~replica batch ~size ~start_us ~done_us
         | Some ns -> net_on_completed st ns ~replica batch ~size ~start_us ~done_us);
-      cb_cancelled = (fun ~replica r -> on_cancelled st ~replica r);
-      cb_expired = (fun ~replica rs -> on_expired st ~replica rs);
-      cb_retry_shed = (fun ~replica rs -> on_retry_shed st ~replica rs);
-      cb_poisoned = (fun ~replica r -> on_poisoned st ~replica r);
-      cb_down = (fun ~replica rs -> on_down st ~replica rs);
-      cb_quarantined = (fun ~replica rs -> on_quarantined st ~replica rs);
+      cb_cancelled = (fun ~replica:_ r -> copy_cancelled st (entry st r.Admission.rq_id));
+      cb_expired =
+        (fun ~replica:_ rs -> List.iter (copy_dropped st ~terminal:`Expired) rs);
+      cb_retry_shed =
+        (fun ~replica:_ rs -> List.iter (copy_dropped st ~terminal:`Retry_budget) rs);
+      cb_poisoned = (fun ~replica:_ r -> copy_dropped st ~terminal:`Poisoned r);
+      cb_down =
+        (fun ~replica rs ->
+          (* A quarantine is counted by the replica's integrity scoreboard,
+             not as a failover. *)
+          st.stats.Stats.failovers <- st.stats.Stats.failovers + 1;
+          requeue_from st ~replica rs);
+      cb_quarantined = (fun ~replica rs -> requeue_from st ~replica rs);
       cb_probe_ready = (fun ~replica -> on_probe_ready st ~replica);
       cb_up = (fun ~replica -> on_up st ~replica);
     }
@@ -932,30 +896,8 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     Array.init cfg.c_replicas (fun i ->
         Replica.create ~tracer ?auditor ~id:i ~loop ~config:cfg.c_server
           ~reset_threshold:cfg.c_reset_threshold ~execute:executors.(i) ~cb ());
-  Array.iteri
-    (fun i at ->
-      let r =
-        {
-          Admission.rq_id = i;
-          rq_payload = payload i;
-          rq_arrival_us = at;
-          rq_deadline_us = Option.map (fun d -> at +. d) cfg.c_server.Server.deadline_us;
-        }
-      in
-      Event_loop.schedule loop ~at (fun () -> on_arrival st r))
-    arrivals;
-  (* Periodic metric snapshots; the chain stops rescheduling once it is the
-     only pending work, so the loop still drains. *)
-  if Metrics.enabled metrics then begin
-    let rec snap () =
-      Stats.to_metrics st.stats metrics;
-      Metrics.snapshot metrics ~ts_us:(Event_loop.now loop);
-      if Event_loop.pending loop > 0 then
-        Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-    in
-    Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-  end;
-  Event_loop.run loop;
+  Server.schedule_arrivals loop cfg.c_server ~arrivals ~payload (on_arrival st);
+  Server.run_with_snapshots loop ~metrics ~every_us:snapshot_every_us st.stats;
   (* Anything still parked when the event loop drained could not be placed
      before the end of the run; account it as dropped so the per-request
      conservation law (completed + dropped = offered) holds. *)

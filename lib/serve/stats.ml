@@ -5,6 +5,7 @@
 
 module Profiler = Acrobat_device.Profiler
 module Rng = Acrobat_tensor.Rng
+module Json = Acrobat_obs.Json
 
 (** One completed request's life cycle, all in virtual microseconds. *)
 type record = {

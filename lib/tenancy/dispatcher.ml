@@ -23,16 +23,16 @@
     in-flight batch completes (conservation holds across scale events —
     the chaos campaign's invariant checker runs over exactly this layer).
 
-    Faulty executors are driven to resolution with the single-server
-    machinery's retry-then-bisect path (per-replica jitter streams seeded
-    by the same [ft_seed + id * 7919] convention). When the resilience
-    layer is armed ([t_resilience]), each tenant additionally gets a
-    retry-token {!Acrobat_resilience.Budget} (retries charged to the
-    batch's lead tenant; a dry budget sheds the batch instead of
-    amplifying load), an AIMD {!Acrobat_resilience.Limiter} gating
-    admission ahead of its bounded queue, and a circuit breaker that opens
-    after consecutive failed batches and sheds arrivals until a half-open
-    trial succeeds. With [t_hedge_percentile] set, slow requests are
+    Faulty executors are driven to resolution by the serving stack's one
+    retry-then-bisect core, {!Acrobat_serve.Server.resolve} (per-replica
+    jitter streams seeded by the same [ft_seed + id * 7919] convention).
+    When the resilience layer is armed ([t_resilience]), each tenant
+    additionally gets a retry-token {!Acrobat_resilience.Budget} (retries
+    charged to the batch's lead tenant; a dry budget sheds the batch
+    instead of amplifying load), an AIMD {!Acrobat_resilience.Limiter}
+    gating admission ahead of its bounded queue, and a circuit breaker that
+    opens after consecutive failed batches and sheds arrivals until a
+    half-open trial succeeds. With [t_hedge_percentile] set, slow requests are
     duplicated into their tenant's queue after a percentile of recent
     completion latency (the {!Acrobat_serve.Cluster} estimator); first
     completion wins and every duplicate is cancelled, wasted or silently
@@ -247,6 +247,19 @@ let drop_expired st (ts : 'a tstate) ~ts_us dropped =
       end)
     dropped
 
+(* Stale hedge duplicates whose winner already completed are dropped
+   unexecuted, counted as cancels. *)
+let drop_cancelled st (live : 'a Admission.request list) =
+  List.filter
+    (fun (r : 'a Admission.request) ->
+      match Hashtbl.find_opt st.entries r.Admission.rq_id with
+      | Some e when e.he_done ->
+        e.he_copies <- e.he_copies - 1;
+        st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1;
+        false
+      | _ -> true)
+    live
+
 (* --- Launch path --- *)
 
 (* Partition-aware reachability. With a net plan armed, a replica inside
@@ -333,17 +346,7 @@ let fill_batch st ~lead ~model ~room ~now =
             Admission.take_with_expired ts.ts_queue ~now_us:now ~limit:!room
           in
           drop_expired st ts ~ts_us:now dropped;
-          let live =
-            List.filter
-              (fun (r : 'a Admission.request) ->
-                match Hashtbl.find_opt st.entries r.Admission.rq_id with
-                | Some e when e.he_done ->
-                  e.he_copies <- e.he_copies - 1;
-                  st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1;
-                  false
-                | _ -> true)
-              live
-          in
+          let live = drop_cancelled st live in
           if live = [] then None
           else begin
             room := !room - List.length live;
@@ -353,162 +356,39 @@ let fill_batch st ~lead ~model ~room ~now =
       order
   end
 
-(* Drive one batch to resolution on [rp]: every request completes or is
-   dropped as poison, then [k] runs at the time the device frees up. The
-   batch is a list of [(owner_tenant, request)] pairs — bisection halves
-   keep their owners, so per-tenant accounting survives fault isolation. *)
-let rec resolve st rp (batch : (int * 'a Admission.request) list) ~lead ~model ~swap_us
-    ~(k : unit -> unit) =
+(* The dispatcher's hooks into the shared resolution core ({!Server.resolve})
+   for one batch on [rp] led by tenant [lead]: every request completes or is
+   dropped as poison, and the lead's swap occupies the device before the
+   first attempt. The batch is a list of [(owner_tenant, request)] pairs —
+   bisection halves keep their owners, so per-tenant accounting survives
+   fault isolation. The lead tenant owns the batch's outcome: its stats
+   receive the fault counters alongside the aggregate, its budget pays for
+   retries and its breaker counts the failures. *)
+let rec resolver st rp ~lead ~model ~swap_us :
+    (int * 'a Admission.request, 'a) Server.resolver =
   let tol = st.cfg.t_server.Server.tolerance in
-  (* Extract payloads once per resolution, not per retry attempt (the
-     batch is fixed for the whole retry/backoff cycle). *)
-  let payloads =
-    List.map (fun ((_, r) : int * 'a Admission.request) -> r.Admission.rq_payload) batch
-  in
-  let rec attempt ~swap_us ~retries_left ~backoff_us () =
-    let now = now_us st in
-    if swap_us > 0.0 then
-      (* Load the incoming model's weights before executing; the device is
-         occupied for the duration, then the attempt proper starts. *)
-      Event_loop.schedule st.loop ~at:(now +. swap_us)
-        (attempt ~swap_us:0.0 ~retries_left ~backoff_us)
-    else begin
-      Trace.set_context st.tracer ~pid:(rp_pid rp) ~tid:0 ~base_us:now;
-      match st.execute rp.rp_id ~model payloads with
-      | Server.Exec_ok outcome ->
-        let size = List.length batch in
-        let done_us = now +. Float.max 0.0 outcome.Server.ex_latency_us in
-        let lead_ts = st.tenants.(lead) in
+  let lead_ts = st.tenants.(lead) in
+  {
+    Server.rv_loop = st.loop;
+    rv_tracer = st.tracer;
+    rv_pid = Some (rp_pid rp);
+    rv_tol = tol;
+    rv_jitter = rp.rp_rng;
+    rv_budget = lead_ts.ts_budget;
+    rv_sinks = [ st.stats; lead_ts.ts_stats ];
+    rv_delay_us = swap_us;
+    rv_payload = (fun ((_, r) : int * 'a Admission.request) -> r.Admission.rq_payload);
+    rv_degraded = (fun () -> false);
+    rv_execute = (fun ~degraded:_ payloads -> st.execute rp.rp_id ~model payloads);
+    rv_fence = Server.unfenced;
+    rv_ok =
+      (fun ~now_us ~done_us ~degraded:_ outcome batch ->
+        batch_ok st rp ~lead ~model ~now:now_us ~done_us outcome batch);
+    rv_fault = (fun ~oom:_ -> ());
+    rv_escalate =
+      (fun ~freed_us ~oom:_ ~reset:_ ->
         if Resilience.active st.cfg.t_resilience then begin
-          lead_ts.ts_consec_failures <- 0;
-          if lead_ts.ts_breaker = Half_open then lead_ts.ts_breaker <- Closed
-        end;
-        Batcher.observe_batch lead_ts.ts_batcher ~size
-          ~latency_us:outcome.Server.ex_latency_us;
-        Stats.note_batch st.stats ~size ~profiler:outcome.Server.ex_profiler;
-        Stats.note_batch lead_ts.ts_stats ~size ~profiler:None;
-        if outcome.Server.ex_corrupted then begin
-          st.stats.Stats.corrupted_batches <- st.stats.Stats.corrupted_batches + 1;
-          lead_ts.ts_stats.Stats.corrupted_batches <-
-            lead_ts.ts_stats.Stats.corrupted_batches + 1
-        end;
-        rp.rp_batches <- rp.rp_batches + 1;
-        Trace.complete st.tracer ~name:"batch" ~cat:"serve" ~pid:(rp_pid rp) ~tid:0
-          ~ts_us:now ~dur_us:outcome.Server.ex_latency_us
-          ~args:
-            (Trace.tag ~tenant:lead_ts.ts_tenant.Tenant.tn_name ~model
-               [ "size", Json.Int size; "replica", Json.Int rp.rp_id ]);
-        (* Charge each participating tenant its share of the device time
-           (the lead's swap was billed at launch). *)
-        let busy = Float.max 0.0 outcome.Server.ex_latency_us in
-        let counts = Array.make (Array.length st.tenants) 0 in
-        List.iter (fun (ti, _) -> counts.(ti) <- counts.(ti) + 1) batch;
-        Array.iteri
-          (fun ti c ->
-            if c > 0 then
-              Fairshare.charge st.fair ti
-                ~work:(busy *. float_of_int c /. float_of_int size))
-          counts;
-        (* Hedge dedup: only the first completing copy of a request is a
-           completion; the rest are wasted work. With hedging off the entry
-           table is empty and [fresh] is the whole batch. Each survivor
-           keeps its batch position so the audit gate can look up its
-           fingerprint. *)
-        let _, fresh_rev =
-          List.fold_left
-            (fun (bi, acc) ((ti, r) : int * 'a Admission.request) ->
-              let keep =
-                match Hashtbl.find_opt st.entries r.Admission.rq_id with
-                | None -> true
-                | Some e when e.he_done ->
-                  e.he_copies <- e.he_copies - 1;
-                  st.stats.Stats.hedge_wasted <- st.stats.Stats.hedge_wasted + 1;
-                  false
-                | Some e ->
-                  e.he_done <- true;
-                  e.he_copies <- e.he_copies - 1;
-                  record_latency st (done_us -. r.Admission.rq_arrival_us);
-                  (match e.he_hedge_copy with
-                  | Some hc when hc == r ->
-                    st.stats.Stats.hedge_wins <- st.stats.Stats.hedge_wins + 1
-                  | _ -> ());
-                  true
-              in
-              bi + 1, if keep then (bi, ti, r) :: acc else acc)
-            (0, []) batch
-        in
-        let fresh = List.rev fresh_rev in
-        List.iter
-          (fun ((bi, ti, r) : int * int * 'a Admission.request) ->
-            let ts = st.tenants.(ti) in
-            (* Sampled audit gate ahead of delivery; a mismatch delivers
-               the reference result (the request is saved) and feeds the
-               serving replica's corruption score. *)
-            let d =
-              Server.audit_request st.auditor ~audit_rng:rp.rp_audit_rng
-                ~stats:st.stats ~forced:false ~outcome ~index:bi r
-            in
-            if d.Server.ad_audited then begin
-              ts.ts_stats.Stats.audits <- ts.ts_stats.Stats.audits + 1;
-              if not d.Server.ad_clean then
-                ts.ts_stats.Stats.audit_mismatches <-
-                  ts.ts_stats.Stats.audit_mismatches + 1;
-              Trace.instant st.tracer
-                ~name:(if d.Server.ad_clean then "audit_ok" else "audit_mismatch")
-                ~cat:"integrity" ~pid:0 ~tid:(Server.req_tid r.Admission.rq_id)
-                ~ts_us:done_us
-                ~args:[ "replica", Json.Int rp.rp_id ];
-              rp.rp_corrupt_score <-
-                ((1.0 -. Replica.corrupt_alpha) *. rp.rp_corrupt_score)
-                +. (if d.Server.ad_clean then 0.0 else Replica.corrupt_alpha);
-              if
-                (not d.Server.ad_clean)
-                && rp.rp_corrupt_score >= Replica.corrupt_threshold
-                && rp.rp_state = Active
-              then quarantine st rp ~ts_us:done_us
-            end;
-            Server.note_delivery st.stats ~outcome d;
-            Server.note_delivery ts.ts_stats ~outcome d;
-            let r_done_us = done_us +. d.Server.ad_extra_us in
-            Stats.record_fields st.stats ~id:r.Admission.rq_id
-              ~arrival_us:r.Admission.rq_arrival_us ~start_us:now
-              ~done_us:r_done_us ~batch_size:size;
-            Stats.record_fields ts.ts_stats ~id:r.Admission.rq_id
-              ~arrival_us:r.Admission.rq_arrival_us ~start_us:now
-              ~done_us:r_done_us ~batch_size:size;
-            (match r.Admission.rq_deadline_us with
-            | Some d when r_done_us > d -> ()
-            | Some _ | None ->
-              st.stats.Stats.slo_ok <- st.stats.Stats.slo_ok + 1;
-              ts.ts_stats.Stats.slo_ok <- ts.ts_stats.Stats.slo_ok + 1);
-            Trace.complete st.tracer ~name:"queue" ~cat:"request" ~pid:0
-              ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:r.Admission.rq_arrival_us
-              ~dur_us:(now -. r.Admission.rq_arrival_us);
-            trace_terminal st ts ~name:"done" ~ts_us:r_done_us r)
-          fresh;
-        Event_loop.schedule st.loop ~at:done_us (fun () ->
-            List.iter
-              (fun ((_, ti, _) : int * int * 'a Admission.request) ->
-                st.tenants.(ti).ts_inflight <- st.tenants.(ti).ts_inflight - 1)
-              fresh;
-            k ())
-      | Server.Exec_fault { ef_latency_us; ef_reason; ef_transient; ef_oom = _; ef_reset = _ }
-        ->
-        let lead_ts = st.tenants.(lead) in
-        st.stats.Stats.fault_batches <- st.stats.Stats.fault_batches + 1;
-        lead_ts.ts_stats.Stats.fault_batches <- lead_ts.ts_stats.Stats.fault_batches + 1;
-        let freed_us = now +. Float.max 0.0 ef_latency_us in
-        Trace.complete st.tracer ~name:"batch_fault" ~cat:"fault" ~pid:(rp_pid rp)
-          ~tid:0 ~ts_us:now ~dur_us:ef_latency_us
-          ~args:
-            [
-              "reason", Json.Str ef_reason;
-              "transient", Json.Bool ef_transient;
-              "size", Json.Int (List.length batch);
-            ];
-        if Resilience.active st.cfg.t_resilience then begin
-          (* The lead tenant owns the batch's outcome: its breaker counts
-             the failure, and a half-open trial that fails reopens at once. *)
+          (* A half-open trial that fails reopens at once. *)
           lead_ts.ts_consec_failures <- lead_ts.ts_consec_failures + 1;
           if
             lead_ts.ts_breaker = Half_open
@@ -520,88 +400,157 @@ let rec resolve st rp (batch : (int * 'a Admission.request) list) ~lead ~model ~
             st.stats.Stats.breaker_opens <- st.stats.Stats.breaker_opens + 1;
             lead_ts.ts_stats.Stats.breaker_opens <-
               lead_ts.ts_stats.Stats.breaker_opens + 1;
-            Trace.instant st.tracer ~name:"breaker_open" ~cat:"resilience" ~pid:0
-              ~tid:0 ~ts_us:freed_us
+            Trace.instant st.tracer ~name:"breaker_open" ~cat:"resilience" ~pid:0 ~tid:0
+              ~ts_us:freed_us
               ~args:
                 (Trace.tag ~tenant:lead_ts.ts_tenant.Tenant.tn_name ~model
                    [ "replica", Json.Int rp.rp_id ])
           end
         end;
-        (* The retry-budget check (and the [retries_left = 0] guard around
-           it) precedes the jitter draw: a run that never retries — whether
-           fault-free, retry-exhausted or budget-denied — leaves the
-           replica's RNG stream untouched. *)
-        if ef_transient && retries_left > 0 then begin
-          let size = List.length batch in
-          match lead_ts.ts_budget with
-          | Some b when not (Budget.try_spend b size) ->
-            (* Budget dry: retrying would amplify load the pool already
-               cannot absorb. Shed the batch instead of bisecting —
-               bisection is itself re-offered load. *)
-            List.iter
-              (fun (ti, (r : 'a Admission.request)) ->
-                let ts = st.tenants.(ti) in
-                if copy_drop_terminal st r then begin
-                  st.stats.Stats.retry_shed <- st.stats.Stats.retry_shed + 1;
-                  ts.ts_stats.Stats.retry_shed <- ts.ts_stats.Stats.retry_shed + 1;
-                  ts.ts_inflight <- ts.ts_inflight - 1;
-                  trace_terminal st ts ~name:"retry_budget" ~ts_us:freed_us r
-                end)
-              batch;
-            Event_loop.schedule st.loop ~at:freed_us (fun () -> k ())
-          | budget ->
-            if Option.is_some budget then begin
-              st.stats.Stats.retried_requests <-
-                st.stats.Stats.retried_requests + size;
-              lead_ts.ts_stats.Stats.retried_requests <-
-                lead_ts.ts_stats.Stats.retried_requests + size
-            end;
-            st.stats.Stats.retries <- st.stats.Stats.retries + 1;
-            lead_ts.ts_stats.Stats.retries <- lead_ts.ts_stats.Stats.retries + 1;
-            let jitter =
-              1.0 +. (tol.Server.jitter_frac *. ((2.0 *. Rng.float rp.rp_rng) -. 1.0))
-            in
-            let at = freed_us +. Float.max 0.0 (backoff_us *. jitter) in
-            Trace.instant st.tracer ~name:"retry" ~cat:"fault" ~pid:(rp_pid rp) ~tid:0
-              ~ts_us:at
-              ~args:[ "attempt", Json.Int (tol.Server.max_retries - retries_left + 1) ];
-            Event_loop.schedule st.loop ~at
-              (attempt ~swap_us:0.0 ~retries_left:(retries_left - 1)
-                 ~backoff_us:(backoff_us *. tol.Server.backoff_mult))
-        end
-        else
-          Event_loop.schedule st.loop ~at:freed_us (fun () ->
-              bisect st rp batch ~lead ~model ~k)
-    end
-  in
-  attempt ~swap_us ~retries_left:tol.Server.max_retries ~backoff_us:tol.Server.backoff_base_us ()
+        None);
+    rv_shed =
+      (fun ~freed_us batch ->
+        List.iter
+          (fun (ti, (r : 'a Admission.request)) ->
+            let ts = st.tenants.(ti) in
+            if copy_drop_terminal st r then begin
+              st.stats.Stats.retry_shed <- st.stats.Stats.retry_shed + 1;
+              ts.ts_stats.Stats.retry_shed <- ts.ts_stats.Stats.retry_shed + 1;
+              ts.ts_inflight <- ts.ts_inflight - 1;
+              trace_terminal st ts ~name:"retry_budget" ~ts_us:freed_us r
+            end)
+          batch;
+        Server.nothing);
+    rv_poisoned =
+      (fun (ti, r) ->
+        let ts = st.tenants.(ti) in
+        if copy_drop_terminal st r then begin
+          st.stats.Stats.poisoned <- st.stats.Stats.poisoned + 1;
+          ts.ts_stats.Stats.poisoned <- ts.ts_stats.Stats.poisoned + 1;
+          ts.ts_inflight <- ts.ts_inflight - 1;
+          trace_terminal st ts ~name:"poisoned" ~ts_us:(now_us st) r
+        end);
+  }
 
-(* Binary fault isolation, same shape as the single server's: halves get a
-   fresh retry budget (and no swap — the model is already resident). *)
-and bisect st rp (batch : (int * 'a Admission.request) list) ~lead ~model ~k =
-  match batch with
-  | [] -> k ()
-  | [ (ti, r) ] ->
-    let ts = st.tenants.(ti) in
-    if copy_drop_terminal st r then begin
-      st.stats.Stats.poisoned <- st.stats.Stats.poisoned + 1;
-      ts.ts_stats.Stats.poisoned <- ts.ts_stats.Stats.poisoned + 1;
-      ts.ts_inflight <- ts.ts_inflight - 1;
-      trace_terminal st ts ~name:"poisoned" ~ts_us:(now_us st) r
-    end;
-    k ()
-  | _ ->
-    let lead_ts = st.tenants.(lead) in
-    st.stats.Stats.bisections <- st.stats.Stats.bisections + 1;
-    lead_ts.ts_stats.Stats.bisections <- lead_ts.ts_stats.Stats.bisections + 1;
-    Trace.instant st.tracer ~name:"bisect" ~cat:"fault" ~pid:(rp_pid rp) ~tid:0
-      ~ts_us:(now_us st)
-      ~args:[ "size", Json.Int (List.length batch) ];
-    let half = List.length batch / 2 in
-    let left = List.filteri (fun i _ -> i < half) batch in
-    let right = List.filteri (fun i _ -> i >= half) batch in
-    resolve st rp left ~lead ~model ~swap_us:0.0 ~k:(fun () ->
-        resolve st rp right ~lead ~model ~swap_us:0.0 ~k)
+(* A successful attempt: charge the participating tenants, dedupe hedge
+   copies and deliver each fresh request through the audit gate. Returns
+   the release of the delivered requests' quota at [done_us]. *)
+and batch_ok st rp ~lead ~model ~now ~done_us (outcome : Server.exec_outcome)
+    (batch : (int * 'a Admission.request) list) =
+  let size = List.length batch in
+  let lead_ts = st.tenants.(lead) in
+  if Resilience.active st.cfg.t_resilience then begin
+    lead_ts.ts_consec_failures <- 0;
+    if lead_ts.ts_breaker = Half_open then lead_ts.ts_breaker <- Closed
+  end;
+  Batcher.observe_batch lead_ts.ts_batcher ~size
+    ~latency_us:outcome.Server.ex_latency_us;
+  Stats.note_batch st.stats ~size ~profiler:outcome.Server.ex_profiler;
+  Stats.note_batch lead_ts.ts_stats ~size ~profiler:None;
+  if outcome.Server.ex_corrupted then begin
+    st.stats.Stats.corrupted_batches <- st.stats.Stats.corrupted_batches + 1;
+    lead_ts.ts_stats.Stats.corrupted_batches <-
+      lead_ts.ts_stats.Stats.corrupted_batches + 1
+  end;
+  rp.rp_batches <- rp.rp_batches + 1;
+  Trace.complete st.tracer ~name:"batch" ~cat:"serve" ~pid:(rp_pid rp) ~tid:0
+    ~ts_us:now ~dur_us:outcome.Server.ex_latency_us
+    ~args:
+      (Trace.tag ~tenant:lead_ts.ts_tenant.Tenant.tn_name ~model
+         [ "size", Json.Int size; "replica", Json.Int rp.rp_id ]);
+  (* Charge each participating tenant its share of the device time
+     (the lead's swap was billed at launch). *)
+  let busy = Float.max 0.0 outcome.Server.ex_latency_us in
+  let counts = Array.make (Array.length st.tenants) 0 in
+  List.iter (fun (ti, _) -> counts.(ti) <- counts.(ti) + 1) batch;
+  Array.iteri
+    (fun ti c ->
+      if c > 0 then
+        Fairshare.charge st.fair ti
+          ~work:(busy *. float_of_int c /. float_of_int size))
+    counts;
+  (* Hedge dedup: only the first completing copy of a request is a
+     completion; the rest are wasted work. With hedging off the entry
+     table is empty and [fresh] is the whole batch. Each survivor
+     keeps its batch position so the audit gate can look up its
+     fingerprint. *)
+  let _, fresh_rev =
+    List.fold_left
+      (fun (bi, acc) ((ti, r) : int * 'a Admission.request) ->
+        let keep =
+          match Hashtbl.find_opt st.entries r.Admission.rq_id with
+          | None -> true
+          | Some e when e.he_done ->
+            e.he_copies <- e.he_copies - 1;
+            st.stats.Stats.hedge_wasted <- st.stats.Stats.hedge_wasted + 1;
+            false
+          | Some e ->
+            e.he_done <- true;
+            e.he_copies <- e.he_copies - 1;
+            record_latency st (done_us -. r.Admission.rq_arrival_us);
+            (match e.he_hedge_copy with
+            | Some hc when hc == r ->
+              st.stats.Stats.hedge_wins <- st.stats.Stats.hedge_wins + 1
+            | _ -> ());
+            true
+        in
+        bi + 1, if keep then (bi, ti, r) :: acc else acc)
+      (0, []) batch
+  in
+  let fresh = List.rev fresh_rev in
+  List.iter
+    (fun ((bi, ti, r) : int * int * 'a Admission.request) ->
+      let ts = st.tenants.(ti) in
+      (* Sampled audit gate ahead of delivery; a mismatch delivers
+         the reference result (the request is saved) and feeds the
+         serving replica's corruption score. *)
+      let d =
+        Server.audit_request st.auditor ~audit_rng:rp.rp_audit_rng
+          ~stats:st.stats ~forced:false ~outcome ~index:bi r
+      in
+      if d.Server.ad_audited then begin
+        ts.ts_stats.Stats.audits <- ts.ts_stats.Stats.audits + 1;
+        if not d.Server.ad_clean then
+          ts.ts_stats.Stats.audit_mismatches <-
+            ts.ts_stats.Stats.audit_mismatches + 1;
+        Trace.instant st.tracer
+          ~name:(if d.Server.ad_clean then "audit_ok" else "audit_mismatch")
+          ~cat:"integrity" ~pid:0 ~tid:(Server.req_tid r.Admission.rq_id)
+          ~ts_us:done_us
+          ~args:[ "replica", Json.Int rp.rp_id ];
+        rp.rp_corrupt_score <-
+          ((1.0 -. Replica.corrupt_alpha) *. rp.rp_corrupt_score)
+          +. (if d.Server.ad_clean then 0.0 else Replica.corrupt_alpha);
+        if
+          (not d.Server.ad_clean)
+          && rp.rp_corrupt_score >= Replica.corrupt_threshold
+          && rp.rp_state = Active
+        then quarantine st rp ~ts_us:done_us
+      end;
+      Server.note_delivery st.stats ~outcome d;
+      Server.note_delivery ts.ts_stats ~outcome d;
+      let r_done_us = done_us +. d.Server.ad_extra_us in
+      Stats.record_fields st.stats ~id:r.Admission.rq_id
+        ~arrival_us:r.Admission.rq_arrival_us ~start_us:now
+        ~done_us:r_done_us ~batch_size:size;
+      Stats.record_fields ts.ts_stats ~id:r.Admission.rq_id
+        ~arrival_us:r.Admission.rq_arrival_us ~start_us:now
+        ~done_us:r_done_us ~batch_size:size;
+      (match r.Admission.rq_deadline_us with
+      | Some d when r_done_us > d -> ()
+      | Some _ | None ->
+        st.stats.Stats.slo_ok <- st.stats.Stats.slo_ok + 1;
+        ts.ts_stats.Stats.slo_ok <- ts.ts_stats.Stats.slo_ok + 1);
+      Trace.complete st.tracer ~name:"queue" ~cat:"request" ~pid:0
+        ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:r.Admission.rq_arrival_us
+        ~dur_us:(now -. r.Admission.rq_arrival_us);
+      trace_terminal st ts ~name:"done" ~ts_us:r_done_us r)
+    fresh;
+  fun () ->
+    List.iter
+      (fun ((_, ti, _) : int * int * 'a Admission.request) ->
+        st.tenants.(ti).ts_inflight <- st.tenants.(ti).ts_inflight - 1)
+      fresh
 
 (* Put one free replica to work: offer it to backlogged tenants in
    fair-share order; the first whose batcher wants to flush launches. A
@@ -653,20 +602,7 @@ and flush st rp ti ~now ~limit =
     Limiter.observe lim ~delay_us);
   let live, dropped = Admission.take_with_expired ts.ts_queue ~now_us:now ~limit in
   drop_expired st ts ~ts_us:now dropped;
-  (* Stale hedge duplicates whose winner already completed are dropped
-     unexecuted (counted inside [copy_drop_terminal] as cancels). *)
-  let live =
-    List.filter
-      (fun (r : 'a Admission.request) ->
-        match Hashtbl.find_opt st.entries r.Admission.rq_id with
-        | Some e when e.he_done ->
-          e.he_copies <- e.he_copies - 1;
-          st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1;
-          false
-        | _ -> true)
-      live
-  in
-  match live with
+  match drop_cancelled st live with
   | [] -> false
   | live ->
     Fairshare.serve st.fair ti;
@@ -699,7 +635,7 @@ and flush st rp ti ~now ~limit =
       end
     in
     let epoch = rp.rp_epoch in
-    resolve st rp batch ~lead:ti ~model ~swap_us ~k:(fun () ->
+    Server.resolve (resolver st rp ~lead:ti ~model ~swap_us) batch ~k:(fun () ->
         if rp.rp_epoch = epoch then begin
           rp.rp_busy <- false;
           rp.rp_busy_us <- rp.rp_busy_us +. (now_us st -. launch_us);
@@ -1057,16 +993,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     | Some (_, t1) -> Event_loop.schedule loop ~at:t1 (fun () -> pass st)
     | None -> ())
   | None -> ());
-  if Metrics.enabled metrics then begin
-    let rec snap () =
-      Stats.to_metrics st.stats metrics;
-      Metrics.snapshot metrics ~ts_us:(Event_loop.now loop);
-      if Event_loop.pending loop > 0 then
-        Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-    in
-    Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-  end;
-  Event_loop.run loop;
+  Server.run_with_snapshots loop ~metrics ~every_us:snapshot_every_us st.stats;
   let end_us = Event_loop.now loop in
   (* Anything still queued when the run drains is conserved as a
      budget-exhausted terminal, exactly like the cluster's parked queue. *)

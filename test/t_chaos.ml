@@ -164,6 +164,47 @@ let test_invariant_quarantine_flow () =
   check_true "restores > quarantines trips quarantine_flow"
     (List.mem "quarantine_flow" names)
 
+let test_invariant_fenced_quiet () =
+  let input = healthy_input () in
+  let ev seq ph name ts =
+    {
+      Trace.ev_seq = 100_000 + seq;
+      ev_ph = ph;
+      ev_name = name;
+      ev_cat = "";
+      ev_ts_us = ts;
+      ev_dur_us = 0.0;
+      ev_pid = 1;
+      ev_tid = 0;
+      ev_args = [];
+    }
+  in
+  let failover = ev 0 'i' "failover" 1e9 and batch = ev 2 'X' "batch" (1e9 +. 1.0) in
+  let with_events extra =
+    { input with Invariants.in_events = input.Invariants.in_events @ extra }
+  in
+  check_true "a batch on a fenced replica trips fenced_quiet"
+    (List.mem "fenced_quiet" (violated (with_events [ failover; batch ])));
+  check_true "a batch after the probe window opens passes"
+    (not
+       (List.mem "fenced_quiet"
+          (violated (with_events [ failover; ev 1 'i' "probe_ready" 1e9; batch ]))));
+  let tenancy =
+    {
+      Invariants.tb_name = "t";
+      tb_offered = 0;
+      tb_completed = 0;
+      tb_quota = 1;
+      tb_peak_inflight = 0;
+      tb_resilience_shed = 0;
+    }
+  in
+  check_true "the tenancy dispatcher's draining quarantine is exempt"
+    (not
+       (List.mem "fenced_quiet"
+          (violated
+             { (with_events [ failover; batch ]) with Invariants.in_tenants = [ tenancy ] })))
+
 let test_invariant_requeue_budget () =
   let input = healthy_input () in
   let requeue id =
@@ -675,6 +716,36 @@ let test_debug_flag_restored () =
       check_true "campaign restores an enabled debug flag"
         (Event_loop.debug_checks_enabled ()))
 
+(* --- Frozen golden outputs ---
+
+   Every run of the seed-42 campaign (fault prob 1.0) and the single-server
+   projection of each cluster scenario must reproduce its committed digest.
+   A change that is meant to be behaviour-preserving leaves
+   golden/serve_digests.txt byte-identical; one that is not regenerates it
+   (test/gen_golden.exe) and explains each changed line. *)
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
+
+let test_golden_digests () =
+  let expected = read_lines "golden/serve_digests.txt" in
+  let actual = Serve_golden.lines () in
+  check_int "golden line count" (List.length expected) (List.length actual);
+  let diffs =
+    List.filter_map
+      (fun (e, a) -> if String.equal e a then None else Some (Fmt.str "%s -> %s" e a))
+      (List.combine expected actual)
+  in
+  Alcotest.(check (list string)) "golden digests unchanged" [] diffs
+
 let suite =
   [
     Alcotest.test_case "scenario: generation is deterministic" `Quick
@@ -691,6 +762,8 @@ let suite =
       test_invariant_audit_shield;
     Alcotest.test_case "invariants: quarantine-flow oracle fires" `Quick
       test_invariant_quarantine_flow;
+    Alcotest.test_case "invariants: fenced-quiet oracle fires" `Quick
+      test_invariant_fenced_quiet;
     Alcotest.test_case "invariants: requeue-budget oracle fires" `Quick
       test_invariant_requeue_budget;
     Alcotest.test_case "invariants: goodput-floor oracle fires" `Quick
@@ -727,4 +800,5 @@ let suite =
     Alcotest.test_case "campaign: forced floor shrinks and reproduces" `Quick
       test_campaign_catches_forced_floor;
     Alcotest.test_case "campaign: debug flag restored" `Quick test_debug_flag_restored;
+    Alcotest.test_case "golden: serve digests unchanged" `Quick test_golden_digests;
   ]

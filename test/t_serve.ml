@@ -12,7 +12,7 @@ module Traffic = Serve.Traffic
 module Stats = Serve.Stats
 module Event_loop = Serve.Event_loop
 module Clock = Serve.Clock
-module Json = Serve.Json
+module Json = Obs.Json
 module Cluster = Serve.Cluster
 module Replica = Serve.Replica
 
@@ -1843,6 +1843,33 @@ let dedup_window_prop (capacity, script) =
     script;
   true
 
+(* Regression: a replica quarantined by an audit verdict in the middle of a
+   bisection used to resolve the bisection's other half anyway, on the
+   fenced device and for requests already requeued to its peer. Scenario 73
+   of the seed-42 chaos campaign at fault probability 1.0 hit it: replica 0
+   quarantined at 1190.5us, then ran a batch at the same instant. *)
+let test_quarantine_mid_bisection_fences () =
+  let sc = Chaos.Scenario.generate ~campaign_seed:42 ~fault_prob:1.0 73 in
+  let s, tracer, _, _ = Chaos.run_scenario_full sc in
+  check_int "one quarantine" 1 s.Stats.s_quarantines;
+  check_int "no batch after the fence" 5 s.Stats.s_batches;
+  check_int "only the detected corrupted batch" 1 s.Stats.s_corrupted_batches;
+  check_int "no hedge copy cancelled (none was issued)" 0 s.Stats.s_hedge_cancels;
+  check_int "everything completes on the peer" s.Stats.s_offered s.Stats.s_completed;
+  let fenced = ref false and runs_fenced = ref 0 in
+  List.iter
+    (fun (ev : Obs.Trace.event) ->
+      if ev.Obs.Trace.ev_pid = 1 then
+        match ev.Obs.Trace.ev_name with
+        | "quarantine" -> fenced := true
+        | "quarantine_probe_ready" -> fenced := false
+        | "batch" | "batch_fault" -> if !fenced then incr runs_fenced
+        | _ -> ())
+    (Obs.Trace.events tracer);
+  check_int "quarantined replica stays quiet until its probe window" 0 !runs_fenced;
+  let violations, _ = Chaos.check_scenario ~check_replay:false sc in
+  Alcotest.(check (list string)) "invariants hold" [] (Chaos.Invariants.names violations)
+
 let suite =
   [
     Alcotest.test_case "event loop: order + clamp" `Quick test_event_loop_order;
@@ -1965,4 +1992,6 @@ let suite =
       test_net_naive_reexecutes;
     qtest ~count:500 "net: dedup window vs ordered-list model" gen_dedup_script
       dedup_window_prop;
+    Alcotest.test_case "replica: quarantine mid-bisection fences the rest" `Quick
+      test_quarantine_mid_bisection_fences;
   ]
